@@ -25,17 +25,6 @@ class NoiseController(abc.ABC):
     #: short identifier used in result tables
     name: str = "controller"
 
-    #: Declares that this controller closes no loop around the supply:
-    #: ``directives(cycle)`` is a pure function of the cycle index, and
-    #: nothing fed to ``observe`` (nor the order it is fed in) influences
-    #: later directives, ``response_cycle_fractions`` or
-    #: ``overhead_energy_joules``.  The simulation uses this to take the
-    #: vectorized kernel fast path (``repro.core.kernel``), which runs
-    #: the whole processor trace first and delivers ``observe`` calls
-    #: after the supply has been advanced in bulk.  Controllers that
-    #: react to what they observe must leave this False.
-    feedback_free: bool = False
-
     @abc.abstractmethod
     def directives(self, cycle: int) -> ControlDirectives:
         """Directives to apply to the processor in ``cycle``."""
@@ -71,10 +60,15 @@ class NoiseController(abc.ABC):
 
 
 class NullController(NoiseController):
-    """The base processor: no noise control at all."""
+    """The base processor: no noise control at all.
+
+    The only controller that closes no loop around the supply, so a run
+    under exactly this class (see ``Simulation.kernel_eligible``) may run
+    the whole processor trace first and advance the supply in bulk, and
+    its recorded traces may be replayed (``repro.trace.replay``).
+    """
 
     name = "base"
-    feedback_free = True
 
     def directives(self, cycle: int) -> ControlDirectives:
         return NO_CONTROL

@@ -1,8 +1,7 @@
-"""Vectorized cycle-kernel hot path (ROADMAP item 1).
+"""Whole-trace supply advance: the one supply fast path.
 
 The scalar simulation advances one cycle at a time through
-``PowerSupply.step`` and ``ResonanceDetector.observe``.  This module
-advances *whole traces* per call:
+``PowerSupply.step``.  This module advances *whole traces* per call:
 
 * :func:`run_supply` -- the Heun recurrence of ``power/integrator.py``
   with every per-cycle attribute lookup hoisted out of the loop, plus a
@@ -14,242 +13,29 @@ advances *whole traces* per call:
 * :func:`run_supply_batch` -- the same recurrence advanced for several
   independent traces (sweep lanes) at once with NumPy elementwise ops.
   IEEE-754 elementwise arithmetic matches scalar arithmetic exactly, so
-  every lane is bit-identical to its own scalar run.
-* :func:`run_detector` -- the quarter-period window comparisons of
-  ``core/detector.py`` as ``np.cumsum``-based whole-trace differences,
-  with event extraction and chain tracing only on the sparse event
-  cycles.  ``np.cumsum`` accumulates sequentially, so the window sums
-  carry exactly the same rounding as the scalar
-  ``CurrentHistoryRegister`` on exactly representable traces (the same
-  equivalence contract as ``repro.oracles.ReferenceDetector``; the
-  conformance goldens and the Hypothesis differential fuzz in
-  ``tests/test_kernel.py`` hold it to bit-for-bit agreement there).
+  every lane is bit-identical to its own scalar run.  It is slower than
+  per-lane :func:`run_supply` and the sweep runner does not use it.
 
-``REPRO_KERNEL=0`` in the environment disables every kernel fast path
-(the scalar loops run instead); this is the escape hatch the
-equivalence hooks in ``tools/verify_all.py`` and the differential tests
-use to compare both paths end to end.
+``PowerSupply.step`` stays the oracle: a supply whose class is not exactly
+:class:`~repro.power.PowerSupply` (an overlay, or a no-op subclass in the
+differential tests) always takes the per-cycle loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import FaultError, SimulationError
-from repro.core.detector import (
-    COUNTER_CAP,
-    Polarity,
-    ResonanceDetector,
-    ResonantEvent,
-)
 
 __all__ = [
-    "KERNEL_ENV",
-    "kernel_enabled",
-    "run_detector",
     "run_supply",
     "run_supply_batch",
 ]
 
-#: Environment variable gating the kernel fast paths ("0"/"false" disables).
-KERNEL_ENV = "REPRO_KERNEL"
 
-
-def kernel_enabled() -> bool:
-    """True unless ``REPRO_KERNEL`` disables the vectorized hot path."""
-    return os.environ.get(KERNEL_ENV, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-# ----------------------------------------------------------------------
-# Detector kernel
-# ----------------------------------------------------------------------
-def run_detector(
-    detector: ResonanceDetector, samples: Sequence[float]
-) -> List[ResonantEvent]:
-    """Advance a *fresh* detector over a whole sensed-current trace.
-
-    Returns the events the scalar ``observe`` loop would have returned,
-    in cycle order, and leaves the detector's public counters
-    (``comparisons``, ``total_events``, ``events_by_polarity``,
-    ``nonfinite_samples``, ``last_event``) exactly as that loop would.
-    The internal shift registers are *not* replayed -- a subsequent
-    ``observe`` call on the consumed detector raises ``SimulationError``
-    rather than silently diverging.
-
-    Bit-equivalence contract: identical to the scalar path whenever the
-    trace is exactly representable (every sample and every windowed sum
-    exact in float64 -- e.g. the dyadic sensor grid), the same contract
-    ``repro.oracles.ReferenceDetector`` documents.
-    """
-    if detector._cycle != -1:
-        raise SimulationError(
-            "run_detector requires a freshly constructed detector "
-            f"(already observed through cycle {detector._cycle})"
-        )
-    x = np.asarray(samples, dtype=float)
-    n_cycles = x.shape[0]
-    if n_cycles == 0:
-        return []
-
-    # Non-finite samples hold the last finite reading (0.0 before any),
-    # mirroring ``observe``'s ``_last_finite_amps`` semantics.
-    finite = np.isfinite(x)
-    nonfinite = int(n_cycles - np.count_nonzero(finite))
-    if nonfinite:
-        last_idx = np.where(finite, np.arange(n_cycles), -1)
-        np.maximum.accumulate(last_idx, out=last_idx)
-        held = np.where(last_idx >= 0, x[np.maximum(last_idx, 0)], 0.0)
-    else:
-        held = x
-
-    # Prefix sums with a leading zero: S[t + 1] is the cumulative sensed
-    # current through cycle t, accumulated sequentially exactly like the
-    # scalar CurrentHistoryRegister.
-    prefix = np.empty(n_cycles + 1, dtype=float)
-    prefix[0] = 0.0
-    np.cumsum(held, out=prefix[1:])
-
-    # Best qualifying quarter per cycle, scanned in ascending quarter
-    # order with a strictly-greater test so ties resolve to the smallest
-    # quarter -- the scalar loop's behavior.
-    best_norm = np.zeros(n_cycles, dtype=float)
-    best_code = np.zeros(n_cycles, dtype=np.int8)  # 0 none, 1 HL, 2 LH
-    comparisons = 0
-    threshold_amps = detector.threshold_amps
-    for quarter in detector._quarters:
-        first = 2 * quarter - 1  # first cycle with 2q samples of history
-        if first >= n_cycles:
-            continue
-        comparisons += n_cycles - first
-        diff = (
-            prefix[2 * quarter:]
-            - 2.0 * prefix[quarter:n_cycles + 1 - quarter]
-            + prefix[:n_cycles + 1 - 2 * quarter]
-        )
-        threshold = 0.5 * threshold_amps * quarter
-        magnitude = np.abs(diff)
-        norm = magnitude / quarter
-        better = (magnitude >= threshold) & (norm > best_norm[first:])
-        best_norm[first:][better] = norm[better]
-        best_code[first:][better] = np.where(diff[better] > 0, 2, 1)
-
-    event_cycles = np.nonzero(best_code)[0]
-    codes = best_code[event_cycles]
-
-    # Per-polarity sorted event-cycle arrays (for vectorized searchsorted
-    # window probes) and run-start arrays (consecutive event cycles are
-    # one physical variation, Section 3.1.3).
-    cycle_index = np.arange(n_cycles)
-    by_code = {}
-    for code in (1, 2):
-        bits = best_code == code
-        prev = np.empty_like(bits)
-        prev[0] = False
-        prev[1:] = bits[:-1]
-        run_start = np.where(bits & ~prev, cycle_index, 0)
-        np.maximum.accumulate(run_start, out=run_start)
-        by_code[code] = (event_cycles[codes == code], run_start)
-
-    events: List[Optional[ResonantEvent]] = [None] * event_cycles.shape[0]
-    for code in (1, 2):
-        chains = _trace_chains(detector, by_code, code)
-        polarity = Polarity.HIGH_LOW if code == 1 else Polarity.LOW_HIGH
-        positions = np.nonzero(codes == code)[0].tolist()
-        for position, chain in zip(positions, chains):
-            events[position] = ResonantEvent(
-                cycle=chain[0], polarity=polarity, count=len(chain),
-                chain_cycles=tuple(chain),
-            )
-
-    # Leave the detector's observable counters exactly as the scalar
-    # loop would; mark it consumed (``_cycle`` advanced) so a stray
-    # ``observe`` afterwards fails loudly in the shift registers.
-    detector.comparisons = min(detector.comparisons + comparisons, COUNTER_CAP)
-    detector.nonfinite_samples = min(
-        detector.nonfinite_samples + nonfinite, COUNTER_CAP
-    )
-    finite_indices = np.nonzero(finite)[0]
-    if finite_indices.shape[0]:
-        detector._last_finite_amps = float(x[finite_indices[-1]])
-    detector.total_events = min(detector.total_events + len(events), COUNTER_CAP)
-    for event in events:
-        detector.events_by_polarity[event.polarity] = min(
-            detector.events_by_polarity[event.polarity] + 1, COUNTER_CAP
-        )
-    if events:
-        detector.last_event = events[-1]
-    detector._cycle = n_cycles - 1
-    return events
-
-
-def _trace_chains(detector, by_code, code) -> List[List[int]]:
-    """Chains for every event of one polarity code, traced in lockstep.
-
-    Mirrors the scalar ``ResonanceDetector._trace_chain`` exactly, but
-    advances all events one *link* at a time: link ``k`` of every still-
-    active chain probes the same opposite-polarity event array (polarity
-    alternates deterministically along a chain), so each link is one
-    vectorized ``searchsorted`` instead of a per-event bisect loop.
-    Links only ever stop (the active set shrinks monotonically), so each
-    chain's links are a prefix of the link table.
-    """
-    cycles, _ = by_code[code]
-    n_events = cycles.shape[0]
-    if n_events == 0:
-        return []
-    h_min, h_max = detector._h_min, detector._h_max
-    slack = detector._chain_slack
-    tolerance = detector.max_repetition_tolerance
-    # Events only see registers aged against their own cycle: every
-    # window is clamped to the register retention horizon.
-    horizon = cycles - (detector.register_length - 1)
-    reference = cycles
-    active = np.ones(n_events, dtype=bool)
-    expected = 3 - code
-    links = []
-    for _ in range(tolerance):
-        target, run_start = by_code[expected]
-        if target.shape[0] == 0:
-            break
-        lo = np.maximum(np.maximum(reference - h_max, horizon), 0)
-        hi = reference - h_min + slack
-        probe = np.searchsorted(target, hi, side="right") - 1
-        found = target[np.maximum(probe, 0)]
-        ok = active & (probe >= 0) & (found >= lo)
-        if not ok.any():
-            break
-        links.append((ok, found))
-        reference = np.where(
-            ok,
-            np.maximum(np.maximum(run_start[found], horizon), 0),
-            reference,
-        )
-        active = ok
-        expected = 3 - expected
-
-    table = np.full((n_events, len(links) + 1), -1, dtype=np.int64)
-    table[:, 0] = cycles
-    for k, (ok, found) in enumerate(links):
-        table[ok, k + 1] = found[ok]
-    chains = []
-    append = chains.append
-    for row in table.tolist():
-        try:
-            append(row[:row.index(-1)])
-        except ValueError:
-            append(row)
-    return chains
-
-
-# ----------------------------------------------------------------------
-# Supply kernel
-# ----------------------------------------------------------------------
 def run_supply(supply, currents) -> np.ndarray:
     """Advance a ``PowerSupply`` over a whole current trace, bit-exactly.
 

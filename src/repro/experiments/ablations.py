@@ -6,7 +6,7 @@ first-class, CLI-runnable experiment:
 * :func:`run_two_tier` -- both response tiers vs each tier alone;
 * :func:`run_band_coverage` -- band-wide vs single-frequency detection;
 * :func:`run_sensing` -- sensor quantization and response delay;
-* :func:`run_detectors` -- quarter-period vs wavelet (dyadic) detection.
+* :func:`run_detection` -- quarter-period vs wavelet (dyadic) detection.
 
 Invoke with ``python -m repro.experiments ablation-two-tier`` etc., or via
 ``python -m repro experiment ablation-sensing``.
@@ -33,7 +33,7 @@ __all__ = [
     "run_two_tier",
     "run_band_coverage",
     "run_sensing",
-    "run_detectors",
+    "run_detection",
 ]
 
 VIOLATORS = ("swim", "bzip", "parser", "lucas")
@@ -160,7 +160,7 @@ def run_sensing(
     )
 
 
-def run_detectors(
+def run_detection(
     n_cycles: int = 20_000, benchmarks: Sequence[str] = MIXED
 ) -> AblationResult:
     """Quarter-period detection vs the wavelet alternative (ref [11])."""

@@ -142,7 +142,7 @@ EXTENSIONS: Dict[str, Callable[[bool], object]] = {
     "ablation-two-tier": _ablation(ablations.run_two_tier),
     "ablation-band-coverage": _ablation(ablations.run_band_coverage),
     "ablation-sensing": _ablation(ablations.run_sensing),
-    "ablation-detectors": _ablation(ablations.run_detectors),
+    "ablation-detectors": _ablation(ablations.run_detection),
     "ablation-fault-injection": _run_fault_injection,
 }
 

@@ -115,13 +115,8 @@ def _event_stream(currents: Sequence[float]) -> List[str]:
     """Replay the Table 1 detector over a recorded current stream.
 
     Uses a fresh whole-amp sensor and band detector so the event golden
-    covers the detector hot path even for base (uncontrolled) cells.
-    Goes through the vectorized detector kernel when enabled (the kernel
-    is bit-identical to the scalar ``observe`` loop, so the golden hashes
-    are invariant either way -- and the goldens thereby gate the kernel).
+    covers the scalar ``observe`` loop even for base (uncontrolled) cells.
     """
-    from repro.core import kernel as core_kernel
-
     band = RLCAnalysis(TABLE1_SUPPLY).band
     sensor = CurrentSensor()
     detector = ResonanceDetector(
@@ -130,15 +125,12 @@ def _event_stream(currents: Sequence[float]) -> List[str]:
         max_repetition_tolerance=TABLE1_TUNING.max_repetition_tolerance,
     )
     sensed = [sensor.read(amps) for amps in currents]
-    if core_kernel.kernel_enabled():
-        found = core_kernel.run_detector(detector, sensed)
-    else:
-        found = [
-            event
-            for cycle, amps in enumerate(sensed)
-            for event in [detector.observe(cycle, amps)]
-            if event is not None
-        ]
+    found = [
+        event
+        for cycle, amps in enumerate(sensed)
+        for event in [detector.observe(cycle, amps)]
+        if event is not None
+    ]
     return [
         f"{event.cycle}:{int(event.polarity)}:{event.count}" for event in found
     ]

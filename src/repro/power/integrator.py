@@ -68,7 +68,7 @@ class HeunIntegrator:
     def coefficients(self) -> "tuple[float, float, float, float, int]":
         """``(dt, 1/C, 1/L, R, substeps)`` exactly as the step loop uses them.
 
-        Public access for the vectorized cycle kernel
+        Public access for the whole-trace supply kernel
         (``repro.core.kernel``), which must replay the recurrence with
         bit-identical constants rather than re-deriving them from the
         config (a second ``1.0 / C`` is equal here, but the contract is

@@ -146,14 +146,15 @@ class PowerSupply:
     def run(self, currents: Iterable[float]) -> np.ndarray:
         """Step through a whole current waveform; return the voltage waveform.
 
-        Delegates to the vectorized cycle kernel (bit-identical to the
+        A plain ``PowerSupply`` delegates to
+        :func:`repro.core.kernel.run_supply` (bit-identical to the
         per-cycle ``step`` loop, including error and bookkeeping
-        semantics) unless ``REPRO_KERNEL=0`` disables it or a subclass
-        overrides ``step``.
+        semantics); subclasses, which may override ``step``, get the
+        per-cycle loop.
         """
         from repro.core import kernel as core_kernel
 
-        if core_kernel.kernel_enabled() and type(self) is PowerSupply:
+        if type(self) is PowerSupply:
             return core_kernel.run_supply(self, list(currents))
         return np.asarray([self.step(current) for current in currents])
 

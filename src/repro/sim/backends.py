@@ -229,23 +229,6 @@ class SequentialBackend(SweepBackend):
         resilience = job.resilience
         open_benchmarks: set = set()
         probed: set = set()
-        pending = [
-            cell
-            for cell in job.grid
-            if cell not in job.results and cell not in job.failure_map
-        ]
-        if len(pending) > 1:
-            # Warm the base cache with one lane-batched kernel call; a
-            # failed prefetch only costs the optimization (each cell's
-            # scalar path reproduces any error under its retry policy).
-            try:
-                job.runner.prefetch_base_batch(
-                    pending,
-                    timeout_s=resilience.timeout_s,
-                    should_stop=job.drain.is_set,
-                )
-            except Exception:
-                pass
         for name, seed in job.grid:
             cell = (name, seed)
             if cell in job.results:  # resumed from the checkpoint

@@ -1,18 +1,16 @@
-"""Replay a recorded current trace through the supply/detector stages.
+"""Replay a recorded current trace through the supply stage.
 
 :class:`ReplaySimulation` is a :class:`~repro.sim.simulation.Simulation`
 whose "processor" is a stub that deals out the recorded per-cycle currents
 and re-derives the energy accounting, skipping the uarch pipeline (the
 dominant cost of a run) entirely.  Everything downstream -- the supply
-recurrence, violation tracking, detector/controller observation, metrics
-harvesting -- is the *real* simulation code, including the vectorized
-kernel fast path, so a replayed result is bit-identical to a full run of
-the same front end.
+recurrence, violation tracking, metrics harvesting -- is the *real*
+simulation code, including the whole-trace supply fast path, so a
+replayed result is bit-identical to a full run of the same front end.
 
-Replay is only sound for controllers whose directive schedule is a pure
-function of the cycle index (:attr:`NoiseController.feedback_free`): the
-recorded trace embeds the schedule's effect on the processor, so a
-controller that reacts to what it observes would need the pipeline in the
+Replay is only sound for the base processor (:class:`NullController`):
+the recorded trace embeds the controller's effect on the processor, so a
+controller that reacts to what it observes needs the pipeline in the
 loop.  :func:`schedule_token` is the gate -- ``None`` means "this
 controller cannot replay", anything else names the schedule inside the
 store key.
@@ -34,23 +32,12 @@ __all__ = ["ReplayFrontEnd", "ReplaySimulation", "schedule_token"]
 def schedule_token(controller: Optional[NoiseController]) -> Optional[str]:
     """Name the controller's directive schedule, or ``None`` if unreplayable.
 
-    ``NullController`` (every base cell) is the ``"null"`` schedule.  Other
-    feedback-free controllers may opt in by exposing a non-empty string
-    attribute ``directive_schedule_token`` that changes whenever their
-    directive schedule changes; declaring one also promises that
-    ``observe`` tolerates ``stats=None`` (the pipeline is skipped, so
-    there are no per-cycle stats to deliver) without altering any
-    reported statistic -- which :attr:`NoiseController.feedback_free`
-    already requires.  Controllers that close a feedback loop return
-    ``None`` and always run the full simulation.
+    ``NullController`` (every base cell) is the ``"null"`` schedule.  Every
+    other controller closes a feedback loop, returns ``None`` and always
+    runs the full simulation.
     """
     if controller is None or type(controller) is NullController:
         return "null"
-    if not getattr(controller, "feedback_free", False):
-        return None
-    token = getattr(controller, "directive_schedule_token", None)
-    if isinstance(token, str) and token:
-        return f"declared:{token}"
     return None
 
 
@@ -104,16 +91,15 @@ class ReplayFrontEnd:
 
 
 class ReplaySimulation(Simulation):
-    """Feed a recorded trace to the supply/controller stages, bit-exactly.
+    """Feed a recorded trace to the supply stage, bit-exactly.
 
-    The kernel-vectorized path and the scalar loop are both supported:
-    a plain :class:`PowerSupply` under an enabled kernel takes
-    ``run_supply`` exactly as a full simulation would, while overlay
-    supplies (e.g. a :class:`~repro.faults.attacker.ResonantAttacker`
-    wrap) and ``REPRO_KERNEL=0`` runs use a per-cycle loop that mirrors
-    ``Simulation._scalar_cycle_loop`` minus the processor step.  Errors
-    the supply would raise mid-run (:class:`~repro.errors.FaultError`
-    guards, overlay faults) surface at the same cycle as in a full run.
+    A plain :class:`PowerSupply` takes ``run_supply`` exactly as a full
+    simulation would, while supply subclasses (e.g. a
+    :class:`~repro.faults.attacker.ResonantAttacker` wrap) use a
+    per-cycle loop that mirrors ``Simulation._scalar_cycle_loop`` minus
+    the processor step.  Errors the supply would raise mid-run
+    (:class:`~repro.errors.FaultError` guards, overlay faults) surface at
+    the same cycle as in a full run.
     """
 
     def __init__(
@@ -136,8 +122,7 @@ class ReplaySimulation(Simulation):
         if schedule_token(self.controller) is None:
             raise TraceStoreError(
                 f"controller {self.controller.name!r} closes a feedback "
-                f"loop (or declares no schedule token); it cannot replay "
-                f"a recorded trace"
+                f"loop; it cannot replay a recorded trace"
             )
 
     def run(self, n_cycles: int):
@@ -150,33 +135,22 @@ class ReplaySimulation(Simulation):
 
     # -- kernel fast path: the collect stage reads the payload instead of
     # stepping the pipeline; _kernel_advance_supply/_kernel_boundary/
-    # _kernel_deliver/_assemble_result are inherited unchanged.
+    # _kernel_record/_assemble_result are inherited unchanged.
     def _kernel_collect(self, n_cycles: int):
         front_end = self.processor
-        controller = self.controller
-        currents = self._payload.currents
         front_end.advance_to_boundary()
         snapshot = self._snapshot()
         front_end.advance_to_end()
-        if type(controller) is NullController:
-            stats_log = None
-        else:
-            # Feedback-free declarers get their observe calls (late, as
-            # the kernel path always delivers them) with stats=None.
-            stats_log = [None] * len(currents)
-        return currents, stats_log, snapshot
+        return self._payload.currents, snapshot
 
-    # -- scalar path: REPRO_KERNEL=0 or an overlay-wrapped supply.
+    # -- scalar path: a supply subclass (overlay).  The controller is a
+    # NullController, whose observe is a no-op, so it is not called.
     def _scalar_cycle_loop(self, n_cycles: int) -> dict:
         front_end = self.processor
         supply = self.supply
-        controller = self.controller
         currents = self._payload.currents
         record = self.record
         warmup = self.warmup_cycles
-        observe = (
-            None if type(controller) is NullController else controller.observe
-        )
         snapshot = self._snapshot()
         for cycle in range(warmup + n_cycles):
             if cycle == warmup:
@@ -189,8 +163,6 @@ class ReplaySimulation(Simulation):
                 snapshot = self._snapshot()
             amps = currents[cycle]
             voltage = supply.step(amps)
-            if observe is not None:
-                observe(cycle, amps, voltage, None)
             if record and cycle >= warmup:
                 self.currents.append(amps)
                 self.voltages.append(voltage)

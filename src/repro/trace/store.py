@@ -31,6 +31,7 @@ in :mod:`repro.trace.replay`.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -207,12 +208,21 @@ class TraceCapture:
 
 
 def _fsync_directory(path: str) -> None:
+    """Persist a rename by fsyncing its directory (no-op where unsupported).
+
+    Filesystems that cannot fsync a directory fd report ``EINVAL``,
+    ``ENOTSUP`` or ``EBADF``; those are not failures of the write, the
+    same rule as the sweep runner's checkpoint writes.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
         _fsync(fd)
+    except OSError as error:
+        if error.errno not in (errno.EINVAL, errno.ENOTSUP, errno.EBADF):
+            raise
     finally:
         os.close(fd)
 

@@ -247,7 +247,7 @@ class TestAblations:
     def test_detector_variants(self):
         from repro.experiments import ablations
 
-        result = ablations.run_detectors(n_cycles=4_000, benchmarks=("gzip",))
+        result = ablations.run_detection(n_cycles=4_000, benchmarks=("gzip",))
         assert len(result.summaries) == 2
 
     def test_registered_as_extensions(self):

@@ -1,11 +1,11 @@
-"""Differential tests pinning the vectorized cycle kernel to the scalar path.
+"""Differential tests pinning the whole-trace supply kernel to the scalar path.
 
 ``repro.core.kernel`` promises bit-for-bit agreement with the per-cycle
-``ResonanceDetector.observe`` / ``PowerSupply.step`` loops on exactly
-representable traces (the dyadic sensor grid -- the same contract as
-``repro.oracles.ReferenceDetector``).  Hypothesis drives both
-implementations over fuzzed band configs, segmented traces, NaN drops and
-mounted fault chains; any divergence is a real bug, never float noise.
+``PowerSupply.step`` loop: same voltages, same violation bookkeeping, same
+errors at the same cycle.  Hypothesis drives both implementations over
+fuzzed underdamped supplies and stimuli; any divergence is a real bug,
+never float noise.  The simulation-level tests force the scalar reference
+with a no-op ``PowerSupply`` subclass, the path overlay supplies take.
 """
 
 import dataclasses
@@ -17,114 +17,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import TABLE1_PROCESSOR, TABLE1_SUPPLY, TABLE1_TUNING
+from repro.baselines import (
+    ConvolutionController,
+    PipelineDampingController,
+    VoltageThresholdController,
+)
 from repro.core import (
-    CurrentSensor,
     NullController,
-    ResonanceDetector,
     ResonanceTuningController,
-    kernel_enabled,
-    run_detector,
     run_supply,
     run_supply_batch,
 )
-from repro.core.kernel import KERNEL_ENV
 from repro.errors import FaultError, SimulationError
-from repro.faults import FaultySensor
 from repro.power import PowerSupply
 from repro.sim.simulation import Simulation, run_batch
+from repro.trace.replay import schedule_token
 from repro.uarch import SPEC2K, Processor
 
-from tests.strategies import (
-    band_configs,
-    band_traces,
-    fault_overlays,
-    quantize_to_grid,
-    supply_stimuli,
-    underdamped_supply_configs,
-)
-
-
-# ----------------------------------------------------------------------
-# Detector kernel vs scalar observe loop
-# ----------------------------------------------------------------------
-def _scalar_events(config, trace):
-    detector = ResonanceDetector(**config)
-    events = []
-    for cycle, amps in enumerate(trace):
-        event = detector.observe(cycle, float(amps))
-        if event is not None:
-            events.append(event)
-    return detector, events
-
-
-def _assert_kernel_matches_scalar(config, trace):
-    scalar, expected = _scalar_events(config, trace)
-    kernel = ResonanceDetector(**config)
-    got = run_detector(kernel, [float(amps) for amps in trace])
-    assert got == expected
-    assert kernel.comparisons == scalar.comparisons
-    assert kernel.total_events == scalar.total_events
-    assert kernel.nonfinite_samples == scalar.nonfinite_samples
-    assert kernel.events_by_polarity == scalar.events_by_polarity
-    assert kernel.last_event == scalar.last_event
-    assert kernel._last_finite_amps == scalar._last_finite_amps
-
-
-class TestDetectorKernelDifferential:
-    @given(data=st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_matches_scalar_on_fuzzed_traces(self, data):
-        """Fuzzed traces, including NaN drops (the hold-last-finite path)."""
-        config = data.draw(band_configs())
-        trace = data.draw(band_traces(config))
-        _assert_kernel_matches_scalar(config, trace)
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_under_fault_overlays(self, data):
-        """Mounted fault chains (degraded inputs) must not split the pair."""
-        config = data.draw(band_configs())
-        trace = data.draw(band_traces(config, allow_nan=False))
-        sensor = FaultySensor(data.draw(fault_overlays()), base=CurrentSensor())
-        faulted = quantize_to_grid(
-            np.asarray([sensor.read(float(x)) for x in trace])
-        )
-        _assert_kernel_matches_scalar(config, faulted)
-
-    def test_all_nan_trace_holds_zero(self):
-        config = {
-            "half_periods": range(4, 8),
-            "threshold_amps": 10.0,
-            "max_repetition_tolerance": 3,
-        }
-        trace = [math.nan] * 60
-        _assert_kernel_matches_scalar(config, trace)
-
-    def test_empty_trace_is_a_no_op(self):
-        detector = ResonanceDetector(
-            half_periods=range(4, 8), threshold_amps=10.0,
-            max_repetition_tolerance=3,
-        )
-        assert run_detector(detector, []) == []
-        assert detector.comparisons == 0
-
-    def test_requires_fresh_detector(self):
-        detector = ResonanceDetector(
-            half_periods=range(4, 8), threshold_amps=10.0,
-            max_repetition_tolerance=3,
-        )
-        detector.observe(0, 10.0)
-        with pytest.raises(SimulationError):
-            run_detector(detector, [10.0, 10.0])
-
-    def test_consumed_detector_rejects_stray_observe(self):
-        detector = ResonanceDetector(
-            half_periods=range(4, 8), threshold_amps=10.0,
-            max_repetition_tolerance=3,
-        )
-        run_detector(detector, [10.0] * 40)
-        with pytest.raises(SimulationError):
-            detector.observe(40, 10.0)
+from tests.strategies import supply_stimuli, underdamped_supply_configs
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +185,14 @@ class TestSupplyBatchKernel:
 
 
 # ----------------------------------------------------------------------
-# Simulation fast path vs scalar loop (REPRO_KERNEL=0)
+# Simulation fast path vs scalar loop
 # ----------------------------------------------------------------------
-def _build_simulation(benchmark, controller, seed=None, record=True):
+class ScalarSupply(PowerSupply):
+    """No-op subclass: forces the per-cycle ``step`` loop (the oracle)."""
+
+
+def _build_simulation(benchmark, controller, seed=None, record=True,
+                      supply_cls=PowerSupply):
     processor = Processor.from_profile(
         SPEC2K[benchmark],
         n_instructions=30_000,
@@ -285,7 +200,7 @@ def _build_simulation(benchmark, controller, seed=None, record=True):
         supply_config=TABLE1_SUPPLY,
         seed=seed,
     )
-    supply = PowerSupply(TABLE1_SUPPLY, initial_current=35.0)
+    supply = supply_cls(TABLE1_SUPPLY, initial_current=35.0)
     return Simulation(
         processor, supply, controller, record=record,
         benchmark=benchmark, warmup_cycles=120,
@@ -298,10 +213,12 @@ def _fingerprint(result):
 
 class TestSimulationFastPath:
     @pytest.mark.parametrize("bench", ["gzip", "swim"])
-    def test_bit_identical_to_scalar_loop(self, bench, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        reference = _build_simulation(bench, NullController()).run(700)
-        monkeypatch.setenv(KERNEL_ENV, "1")
+    def test_bit_identical_to_scalar_loop(self, bench):
+        scalar_sim = _build_simulation(
+            bench, NullController(), supply_cls=ScalarSupply
+        )
+        assert not scalar_sim.kernel_eligible()
+        reference = scalar_sim.run(700)
         fast_sim = _build_simulation(bench, NullController())
         assert fast_sim.kernel_eligible()
         fast = fast_sim.run(700)
@@ -311,74 +228,57 @@ class TestSimulationFastPath:
         controller = ResonanceTuningController(
             TABLE1_SUPPLY, TABLE1_PROCESSOR, TABLE1_TUNING
         )
-        assert not controller.feedback_free
         sim = _build_simulation("gzip", controller)
         assert not sim.kernel_eligible()
 
-    def test_env_gate_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        assert not kernel_enabled()
-        assert not _build_simulation("gzip", NullController()).kernel_eligible()
-        monkeypatch.setenv(KERNEL_ENV, "1")
-        assert kernel_enabled()
+    def test_paper_controllers_cannot_replay(self):
+        """Every paper technique closes a loop, so none has a schedule
+        token; only the base processor does."""
+        for controller in (
+            ResonanceTuningController(
+                TABLE1_SUPPLY, TABLE1_PROCESSOR, TABLE1_TUNING
+            ),
+            VoltageThresholdController(TABLE1_SUPPLY, TABLE1_PROCESSOR),
+            PipelineDampingController(TABLE1_SUPPLY, TABLE1_PROCESSOR),
+            ConvolutionController(TABLE1_SUPPLY, TABLE1_PROCESSOR),
+        ):
+            assert schedule_token(controller) is None, controller.name
+        assert schedule_token(NullController()) == "null"
+        assert schedule_token(None) == "null"
+
+    def test_null_controller_subclass_uses_scalar_loop(self):
+        class QuietController(NullController):
+            name = "quiet"
+
+        sim = _build_simulation("gzip", QuietController())
+        assert not sim.kernel_eligible()
+        assert schedule_token(sim.controller) is None
 
     def test_supply_subclass_uses_scalar_loop(self):
-        class PatchedSupply(PowerSupply):
-            pass
-
-        processor = Processor.from_profile(
-            SPEC2K["gzip"], n_instructions=30_000,
-            config=TABLE1_PROCESSOR, supply_config=TABLE1_SUPPLY,
-        )
-        sim = Simulation(
-            processor, PatchedSupply(TABLE1_SUPPLY), NullController(),
-            benchmark="gzip", warmup_cycles=10,
+        sim = _build_simulation(
+            "gzip", NullController(), supply_cls=ScalarSupply
         )
         assert not sim.kernel_eligible()
 
-    def test_feedback_free_observer_gets_late_observes(self, monkeypatch):
-        """A feedback-free (non-Null) controller sees every observe call
-        with the same arguments the scalar loop delivers."""
-
-        class RecordingController(NullController):
-            feedback_free = True
-            name = "recording"
-
-            def __init__(self):
-                self.seen = []
-
-            def observe(self, cycle, current_amps, voltage_volts, stats=None):
-                self.seen.append((cycle, current_amps, voltage_volts))
-
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        scalar_controller = RecordingController()
-        _build_simulation("gzip", scalar_controller).run(400)
-        monkeypatch.setenv(KERNEL_ENV, "1")
-        kernel_controller = RecordingController()
-        sim = _build_simulation("gzip", kernel_controller)
-        assert sim.kernel_eligible()
-        sim.run(400)
-        assert kernel_controller.seen == scalar_controller.seen
-
 
 class TestRunBatch:
-    def test_matches_individual_runs(self, monkeypatch):
+    def test_matches_individual_runs(self):
         grid = [("gzip", None), ("swim", 3), ("lucas", None)]
-        monkeypatch.setenv(KERNEL_ENV, "0")
         expected = [
             _fingerprint(
-                _build_simulation(bench, NullController(), seed=seed).run(600)
+                _build_simulation(
+                    bench, NullController(), seed=seed,
+                    supply_cls=ScalarSupply,
+                ).run(600)
             )
             for bench, seed in grid
         ]
-        monkeypatch.setenv(KERNEL_ENV, "1")
         sims = [
             _build_simulation(bench, NullController(), seed=seed)
             for bench, seed in grid
         ]
         outcomes = run_batch(sims, 600)
         assert [_fingerprint(out) for out in outcomes] == expected
-
     def test_mixed_eligibility_falls_back_per_lane(self):
         tuned = ResonanceTuningController(
             TABLE1_SUPPLY, TABLE1_PROCESSOR, TABLE1_TUNING

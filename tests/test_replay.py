@@ -4,8 +4,8 @@ The contract: a sweep running against a trace store -- cold (recording)
 or warm (replaying) -- produces aggregates **bit-identical** to the same
 sweep with no store at all, across random workloads, supply variants,
 controller variants, all six sensor fault models, resonant-attacker
-overlays, both execution paths (vectorized kernel and ``REPRO_KERNEL=0``
-scalar loop) and every sweep backend.  Replay is an optimization with a
+overlays, both execution paths (whole-trace supply kernel and the scalar
+loop a ``PowerSupply`` subclass forces) and every sweep backend.  Replay is an optimization with a
 guard, never an approximation; any byte of drift here is a bug.
 """
 
@@ -77,6 +77,16 @@ class Attack:
         return ResonantAttacker(
             supply, amplitude_amps=self.amplitude_amps, seed=99
         )
+
+
+class ScalarSupply(PowerSupply):
+    """No-op subclass: forces the per-cycle ``step`` loop (the oracle)."""
+
+
+def scalar_supply(supply, benchmark):
+    """Picklable supply transform re-classing every supply to ScalarSupply."""
+    supply.__class__ = ScalarSupply
+    return supply
 
 
 def run_differential(config, factory, benchmarks, supply_transform=None,
@@ -272,13 +282,11 @@ class TestRunnerReplayDifferential:
             assert stored.timings["trace_hits"] == 0.0
         assert fingerprint(stored) == fingerprint(plain)
 
-    def test_scalar_path_replay(self, monkeypatch):
-        """REPRO_KERNEL=0: the per-cycle replay loop, not run_supply."""
-        from repro.core import kernel as core_kernel
-
-        monkeypatch.setenv(core_kernel.KERNEL_ENV, "0")
-        assert not core_kernel.kernel_enabled()
-        run_differential(SMALL, tuning_factory, ("swim",))
+    def test_scalar_path_replay(self):
+        """A supply subclass: the per-cycle replay loop, not run_supply."""
+        run_differential(
+            SMALL, tuning_factory, ("swim",), supply_transform=scalar_supply
+        )
 
     def test_no_replay_flag_disables_the_store(self):
         with tempfile.TemporaryDirectory() as store_dir:

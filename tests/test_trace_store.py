@@ -12,8 +12,10 @@ Two layers:
 """
 
 import dataclasses
+import errno
 import json
 import os
+import stat
 
 import pytest
 
@@ -198,6 +200,28 @@ class TestRoundTrip:
         capture = make_capture()
         store.save(capture)
         assert store.load(capture.key) is not store.load(capture.key)
+
+    def test_unsupported_directory_fsync_still_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A filesystem that cannot fsync a directory (EINVAL) must not
+        turn a completed write into a failed save."""
+        real_fsync = os.fsync
+        directory_fsyncs = []
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                directory_fsyncs.append(fd)
+                raise OSError(errno.EINVAL, "Invalid argument")
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.trace.store._fsync", fsync)
+        store = TraceStore(str(tmp_path))
+        capture = make_capture()
+        assert store.save(capture)
+        assert store.stats["records"] == 1
+        assert directory_fsyncs
+        assert TraceStore(str(tmp_path)).load(capture.key) is not None
 
     def test_object_dedup_across_keys(self, tmp_path):
         # Same trace under two keys: one object, two index entries.

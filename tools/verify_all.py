@@ -15,7 +15,6 @@ suite reports per-hook timing and fails if any hook failed.
 import argparse
 import dataclasses
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -24,6 +23,7 @@ import time
 
 from repro.config import TABLE1_TUNING
 from repro.core import ResonanceTuningController
+from repro.power import PowerSupply
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 from repro.uarch import SPEC2K, PAPER_IPC, VIOLATING_NAMES
 
@@ -67,24 +67,28 @@ def hook_faults():
     print(result.render())
 
 
+class ScalarSupply(PowerSupply):
+    """No-op subclass: forces the per-cycle ``step`` loop (the oracle)."""
+
+
+def scalar_supply(supply, benchmark):
+    """Supply transform re-classing every supply to :class:`ScalarSupply`."""
+    supply.__class__ = ScalarSupply
+    return supply
+
+
 def hook_kernel():
-    """Vectorized fast path vs REPRO_KERNEL=0: byte-identical aggregates."""
-    from repro.core import kernel as core_kernel
-    assert core_kernel.kernel_enabled(), "verify_all must run with the kernel on"
+    """Whole-trace supply fast path vs the scalar loop: byte-identical aggregates."""
     kernel_sweep = BenchmarkRunner(SweepConfig(n_cycles=6000)).sweep(
         factory, benchmarks=TRIO
     )
-    os.environ[core_kernel.KERNEL_ENV] = "0"
-    try:
-        scalar_sweep = BenchmarkRunner(SweepConfig(n_cycles=6000)).sweep(
-            factory, benchmarks=TRIO
-        )
-    finally:
-        os.environ.pop(core_kernel.KERNEL_ENV, None)
+    scalar_sweep = BenchmarkRunner(
+        SweepConfig(n_cycles=6000), supply_transform=scalar_supply
+    ).sweep(factory, benchmarks=TRIO)
     match = fingerprint(kernel_sweep) == fingerprint(scalar_sweep)
     print(f"byte-identical aggregates: {match}")
     if not match:
-        raise SystemExit("vectorized kernel diverged from the scalar cycle loop")
+        raise SystemExit("supply kernel diverged from the scalar cycle loop")
 
 
 def hook_replay():
