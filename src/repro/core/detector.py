@@ -100,6 +100,8 @@ class ResonanceDetector:
             self._quarters = sorted({int(q) for q in quarter_periods})
             if self._quarters[0] < 1:
                 raise ConfigurationError("quarter periods must be >= 1")
+        #: each adder's M q / 2 threshold, in ``_quarters`` order
+        self._thresholds = [0.5 * threshold_amps * q for q in self._quarters]
         self._current_history = CurrentHistoryRegister(self._quarters[-1])
         register_length = max_repetition_tolerance * self._h_max
         self._histories = {
@@ -143,19 +145,14 @@ class ResonanceDetector:
 
         best_magnitude = 0.0
         polarity: Optional[Polarity] = None
-        comparisons = 0
-        for quarter in self._quarters:
-            if not history.ready(quarter):
-                continue
-            comparisons += 1
-            diff = history.quarter_diff(quarter)
-            threshold = 0.5 * self.threshold_amps * quarter
+        diffs = history.ready_quarter_diffs(self._quarters)
+        for quarter, threshold, diff in zip(self._quarters, self._thresholds, diffs):
             magnitude = abs(diff)
             if magnitude >= threshold and magnitude / quarter > best_magnitude:
                 best_magnitude = magnitude / quarter
                 polarity = Polarity.LOW_HIGH if diff > 0 else Polarity.HIGH_LOW
 
-        self.comparisons = min(self.comparisons + comparisons, COUNTER_CAP)
+        self.comparisons = min(self.comparisons + len(diffs), COUNTER_CAP)
         self._histories[Polarity.HIGH_LOW].shift(
             cycle, polarity is Polarity.HIGH_LOW
         )

@@ -135,6 +135,34 @@ class CurrentHistoryRegister:
         # traces, leaving ``base`` bit-for-bit unchanged there.
         return base + correction
 
+    def ready_quarter_diffs(self, quarter_periods) -> list:
+        """``quarter_diff`` of every ready period in an ascending sequence.
+
+        The per-cycle form of :meth:`quarter_diff` for a detector's adders:
+        one call per cycle, bit-identical results, no per-period checks.
+        Periods must be ascending and within the register's range; the
+        ready ones are a prefix, and the list holds one diff per ready
+        period.
+        """
+        seen = self._cycles_seen
+        mask = self._mask
+        cumsum = self._cumsum
+        comp = self._comp
+        newest = (seen - 1) & mask
+        cumsum_newest = cumsum[newest]
+        comp_newest = comp[newest]
+        diffs = []
+        for quarter_period in quarter_periods:
+            if seen < 2 * quarter_period:
+                break
+            mid = (seen - 1 - quarter_period) & mask
+            oldest = (seen - 1 - 2 * quarter_period) & mask
+            diffs.append(
+                (cumsum_newest - 2.0 * cumsum[mid] + cumsum[oldest])
+                + (comp_newest - 2.0 * comp[mid] + comp[oldest])
+            )
+        return diffs
+
 
 class EventHistoryRegister:
     """One-bit-per-cycle shift register of resonant events of one polarity."""

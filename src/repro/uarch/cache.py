@@ -4,8 +4,8 @@ The hierarchy is trace-annotated: each memory operation in a synthetic trace
 carries the level it hits at (L1, L2 or memory), and this model converts the
 level into a load-use latency and accounts the accesses for the power model.
 Port arbitration (two L1 ports, shared by loads and stores, reducible to one
-by the resonance-tuning first-level response) is enforced by the pipeline via
-:class:`repro.uarch.resources.CachePorts`.
+by the resonance-tuning first-level response) is enforced by the pipeline's
+issue stage.
 """
 
 from __future__ import annotations
@@ -44,6 +44,17 @@ class CacheHierarchy:
                 config.l1_hit_cycles + config.l2_hit_cycles + config.memory_cycles
             ),
         }
+        # Every (level, is_store) pair maps to one immutable timing record,
+        # built once and shared by all accesses.
+        self._accesses = {
+            (level, is_store): CacheAccess(
+                latency=1 if is_store else latency,
+                touches_l2=level >= int(MemLevel.L2),
+                touches_memory=level >= int(MemLevel.MEMORY),
+            )
+            for level, latency in self._latency.items()
+            for is_store in (False, True)
+        }
         self.l1_accesses = 0
         self.l2_accesses = 0
         self.memory_accesses = 0
@@ -55,19 +66,15 @@ class CacheHierarchy:
         complete in a single cycle regardless of where the line lives (their
         miss traffic still shows up as L2/memory energy).
         """
-        if mem_level not in self._latency:
+        access = self._accesses.get((mem_level, is_store))
+        if access is None:
             raise SimulationError(f"not a memory operation (level {mem_level})")
         self.l1_accesses += 1
-        touches_l2 = mem_level >= int(MemLevel.L2)
-        touches_memory = mem_level >= int(MemLevel.MEMORY)
-        if touches_l2:
+        if access.touches_l2:
             self.l2_accesses += 1
-        if touches_memory:
+        if access.touches_memory:
             self.memory_accesses += 1
-        latency = 1 if is_store else self._latency[mem_level]
-        return CacheAccess(
-            latency=latency, touches_l2=touches_l2, touches_memory=touches_memory
-        )
+        return access
 
     def latency_for(self, mem_level: int) -> int:
         """Load-use latency for a given hierarchy level (no accounting)."""

@@ -21,17 +21,16 @@ bounds (pipeline damping).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.errors import SimulationError
 from repro.uarch.branch import BranchUnit
 from repro.uarch.cache import CacheHierarchy
-from repro.uarch.isa import EXECUTION_LATENCY, OpClass
+from repro.uarch.isa import EXECUTION_LATENCY, FU_FOR_OP, OpClass
 from repro.uarch.power_model import PowerModel
-from repro.uarch.resources import CachePorts, FunctionalUnits
 from repro.uarch.trace import MAX_DEP_DISTANCE, SyntheticTrace
 
 __all__ = ["ControlDirectives", "CycleStats", "Pipeline", "NO_CONTROL"]
@@ -107,8 +106,19 @@ class Pipeline:
         self.power = power or PowerModel(config)
         self.cache = cache or CacheHierarchy(config)
         self.branch_unit = BranchUnit(config)
-        self._fus = FunctionalUnits(config)
-        self._ports = CachePorts(config)
+        # Functional units are fully pipelined: a unit is busy only in the
+        # cycle an operation issues to it, so each cycle starts from the
+        # full pool.  Memory operations are limited by cache ports instead.
+        capacity = {
+            "int_alu": config.int_alus,
+            "int_mul": config.int_muls,
+            "fp_alu": config.fp_alus,
+            "fp_mul": config.fp_muls,
+        }
+        pool_index = {pool: i for i, pool in enumerate(capacity)}
+        self._fu_capacity = list(capacity.values())
+        #: per op class, the index of its pool (None for memory operations)
+        self._fu_pool = [pool_index.get(FU_FOR_OP[op]) for op in OpClass]
 
         # Trace columns as plain lists: scalar indexing is much faster than
         # numpy element access in the per-cycle loop.
@@ -142,30 +152,213 @@ class Pipeline:
         self.total_committed = 0
         self.total_issued = 0
         self.total_dispatched = 0
-        self._estimates = {
-            op: self.power.apriori_issue_estimate(op) for op in range(7)
-        }
+        self._estimates = [
+            self.power.apriori_issue_estimate(op) for op in range(len(OpClass))
+        ]
 
     # ------------------------------------------------------------------
     def step(self, directives: ControlDirectives = NO_CONTROL) -> CycleStats:
-        """Advance one cycle under the given control directives."""
-        cycle = self.cycle
-        self._process_completions(cycle)
-        dispatched = 0 if directives.stall_fetch else self._dispatch(cycle)
-        issued, issued_estimate = self._issue(cycle, directives)
-        committed = self._commit(cycle)
+        """Advance one cycle under the given control directives.
 
+        One pass in hardware order: wake consumers of completed producers,
+        dispatch (unless fetch is stalled), issue, commit, then close the
+        cycle's current in the power model.  The loop state lives in locals
+        for the duration of the cycle and is written back at the end.
+        """
+        cycle = self.cycle
+        config = self.config
         power = self.power
+        branch_unit = self.branch_unit
+        op_list = self._op
+        mem_levels = self._mem_level
+        mispredict = self._mispredict
+        n_trace = self._n_trace
+        finish = self._finish
+        npend = self._npend
+        base_rc = self._base_rc
+        consumers = self._consumers
+        pending_ready = self._pending_ready
+        ready_now = self._ready_now
+        completions = self._completions
+        outstanding_misses = self._outstanding_misses
+        rob_count = self.rob_count
+        lsq_count = self.lsq_count
+
+        # -- completions: resolve branches, free MSHRs, wake consumers --
+        while completions and completions[0][0] <= cycle:
+            finish_cycle, seq = heappop(completions)
+            index = seq % n_trace
+            op = op_list[index]
+            if op == _BRANCH:
+                if mispredict[index]:
+                    branch_unit.on_resolve(seq, finish_cycle)
+            elif op == _LOAD and mem_levels[index] >= 1:
+                outstanding_misses -= 1
+            w = seq % _WINDOW
+            waiters = consumers[w]
+            if waiters:
+                for consumer in waiters:
+                    cw = consumer % _WINDOW
+                    if base_rc[cw] < finish_cycle:
+                        base_rc[cw] = finish_cycle
+                    npend[cw] -= 1
+                    if npend[cw] == 0:
+                        heappush(pending_ready, (base_rc[cw], consumer))
+                consumers[w] = []
+
+        # -- dispatch: in order into the ROB and LSQ ---------------------
+        dispatched = 0
+        if (
+            not directives.stall_fetch
+            and cycle >= self._icache_stall_until
+            and branch_unit.fetch_allowed(cycle)
+        ):
+            icache_miss = self._icache_miss
+            dep1 = self._dep1
+            dep2 = self._dep2
+            lsq_entries = config.lsq_entries
+            room = min(config.fetch_width, config.rob_entries - rob_count)
+            seq = self.seq_dispatch
+            while dispatched < room:
+                index = seq % n_trace
+                if icache_miss[index]:
+                    if dispatched:
+                        break  # the missing block starts next cycle's stall
+                    self._icache_stall_until = cycle + config.icache_miss_penalty
+                    self.icache_stalls += 1
+                op = op_list[index]
+                is_mem = op == _LOAD or op == _STORE
+                if is_mem:
+                    if lsq_count >= lsq_entries:
+                        break
+                    lsq_count += 1
+                w = seq % _WINDOW
+                finish[w] = _UNFINISHED
+                ready_cycle = cycle + 1
+                pending = 0
+                distance = dep1[index]
+                if distance and seq >= distance:
+                    pw = (seq - distance) % _WINDOW
+                    producer_finish = finish[pw]
+                    if producer_finish == _UNFINISHED:
+                        consumers[pw].append(seq)
+                        pending += 1
+                    elif producer_finish > ready_cycle:
+                        ready_cycle = producer_finish
+                distance = dep2[index]
+                if distance and seq >= distance:
+                    pw = (seq - distance) % _WINDOW
+                    producer_finish = finish[pw]
+                    if producer_finish == _UNFINISHED:
+                        consumers[pw].append(seq)
+                        pending += 1
+                    elif producer_finish > ready_cycle:
+                        ready_cycle = producer_finish
+                if pending:
+                    npend[w] = pending
+                    base_rc[w] = ready_cycle
+                else:
+                    heappush(pending_ready, (ready_cycle, seq))
+                rob_count += 1
+                dispatched += 1
+                seq += 1
+                if op == _BRANCH and mispredict[index]:
+                    # Fetch stops behind a mispredicted branch.
+                    branch_unit.on_dispatch_mispredict(seq - 1)
+                    break
+            self.seq_dispatch = seq
+
+        # -- issue: oldest ready first, within width, units and ports ----
+        while pending_ready and pending_ready[0][0] <= cycle:
+            heappush(ready_now, heappop(pending_ready)[1])
+        issued = 0
+        issued_estimate = 0.0
+        width = config.issue_width
+        if directives.issue_width_limit is not None:
+            width = max(0, min(width, directives.issue_width_limit))
+        if ready_now and width and not directives.stall_issue:
+            bounds = directives.issue_estimate_bounds
+            estimate_cap = bounds[1] if bounds is not None else None
+            ports_free = config.cache_ports
+            if directives.cache_ports_limit is not None:
+                ports_free = max(0, min(ports_free, directives.cache_ports_limit))
+            units_free = self._fu_capacity[:]
+            fu_pool = self._fu_pool
+            estimates = self._estimates
+            mshr_entries = config.mshr_entries
+            cache_access = self.cache.access
+            add_cache_access = power.add_cache_access
+            add_issue = power.add_issue
+            blocked = []
+            scans = 0
+            max_scans = width * _SCAN_FACTOR
+            while ready_now and issued < width and scans < max_scans:
+                seq = heappop(ready_now)
+                scans += 1
+                index = seq % n_trace
+                op = op_list[index]
+                estimate = estimates[op]
+                if estimate_cap is not None and issued_estimate + estimate > estimate_cap:
+                    blocked.append(seq)
+                    break  # damping bound reached: nothing else may issue
+                if op == _LOAD or op == _STORE:
+                    is_miss = op == _LOAD and mem_levels[index] >= 1
+                    if is_miss and outstanding_misses >= mshr_entries:
+                        blocked.append(seq)
+                        self.mshr_stall_cycles += 1
+                        continue
+                    if not ports_free:
+                        blocked.append(seq)
+                        continue
+                    ports_free -= 1
+                    access = cache_access(mem_levels[index], op == _STORE)
+                    latency = access.latency
+                    add_cache_access(access)
+                    if is_miss:
+                        outstanding_misses += 1
+                else:
+                    pool = fu_pool[op]
+                    if not units_free[pool]:
+                        blocked.append(seq)
+                        continue
+                    units_free[pool] -= 1
+                    latency = _EXEC_LATENCY[op]
+                finish_cycle = cycle + latency
+                finish[seq % _WINDOW] = finish_cycle
+                heappush(completions, (finish_cycle, seq))
+                add_issue(op, latency)
+                issued += 1
+                issued_estimate += estimate
+            for seq in blocked:
+                heappush(ready_now, seq)
+
+        # -- commit: in order, finished instructions only ----------------
+        committed = 0
+        seq = self.seq_commit
+        room = min(config.commit_width, self.seq_dispatch - seq)
+        while committed < room and finish[seq % _WINDOW] <= cycle:
+            op = op_list[seq % n_trace]
+            if op == _LOAD or op == _STORE:
+                lsq_count -= 1
+            committed += 1
+            seq += 1
+        rob_count -= committed
+        self.seq_commit = seq
+
+        self._outstanding_misses = outstanding_misses
+        self.rob_count = rob_count
+        self.lsq_count = lsq_count
+
+        # -- current ------------------------------------------------------
         if dispatched:
             power.add_dispatch(dispatched)
         if committed:
             power.add_commit(committed)
-        power.add_occupancy(self.rob_count)
+        power.add_occupancy(rob_count)
 
         floor = directives.current_floor_amps
         if floor > 0.0:
-            activity = power.preview_current()
-            phantom = max(0.0, floor - activity)
+            phantom = max(0.0, floor - power.preview_current())
         else:
             phantom = 0.0
         if directives.issue_estimate_bounds is not None:
@@ -180,201 +373,9 @@ class Pipeline:
         self.total_dispatched += dispatched
         self.cycle = cycle + 1
         return CycleStats(
-            cycle=cycle,
-            current_amps=current,
-            phantom_amps=phantom,
-            dispatched=dispatched,
-            issued=issued,
-            committed=committed,
-            issued_estimate_amps=issued_estimate,
-            rob_occupancy=self.rob_count,
+            cycle, current, phantom, dispatched, issued, committed,
+            issued_estimate, rob_count,
         )
-
-    # ------------------------------------------------------------------
-    def _process_completions(self, cycle: int) -> None:
-        completions = self._completions
-        consumers = self._consumers
-        npend = self._npend
-        base_rc = self._base_rc
-        pending_ready = self._pending_ready
-        while completions and completions[0][0] <= cycle:
-            finish_cycle, seq = heapq.heappop(completions)
-            w = seq % _WINDOW
-            index = seq % self._n_trace
-            if self._op[index] == _BRANCH and self._mispredict[index]:
-                self.branch_unit.on_resolve(seq, finish_cycle)
-            elif self._op[index] == _LOAD and self._mem_level[index] >= 1:
-                self._outstanding_misses -= 1
-            waiters = consumers[w]
-            if waiters:
-                for consumer in waiters:
-                    cw = consumer % _WINDOW
-                    if base_rc[cw] < finish_cycle:
-                        base_rc[cw] = finish_cycle
-                    npend[cw] -= 1
-                    if npend[cw] == 0:
-                        heapq.heappush(pending_ready, (base_rc[cw], consumer))
-                consumers[w] = []
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, cycle: int) -> int:
-        config = self.config
-        branch_unit = self.branch_unit
-        finish = self._finish
-        npend = self._npend
-        base_rc = self._base_rc
-        consumers = self._consumers
-        op_list = self._op
-        n_trace = self._n_trace
-        dispatched = 0
-        seq = self.seq_dispatch
-        if cycle < self._icache_stall_until:
-            return 0
-
-        while (
-            dispatched < config.fetch_width
-            and self.rob_count < config.rob_entries
-            and branch_unit.fetch_allowed(cycle)
-        ):
-            index = seq % n_trace
-            op = op_list[index]
-            if self._icache_miss[index] and dispatched > 0:
-                break  # the missing block starts next cycle's stall
-            if self._icache_miss[index]:
-                self._icache_stall_until = cycle + config.icache_miss_penalty
-                self.icache_stalls += 1
-            is_mem = op == _LOAD or op == _STORE
-            if is_mem and self.lsq_count >= config.lsq_entries:
-                break
-            w = seq % _WINDOW
-            finish[w] = _UNFINISHED
-            ready_cycle = cycle + 1
-            pending = 0
-            for distance in (self._dep1[index], self._dep2[index]):
-                if distance:
-                    producer = seq - distance
-                    if producer >= 0:
-                        pw = producer % _WINDOW
-                        producer_finish = finish[pw]
-                        if producer_finish == _UNFINISHED:
-                            consumers[pw].append(seq)
-                            pending += 1
-                        elif producer_finish > ready_cycle:
-                            ready_cycle = producer_finish
-            if pending:
-                npend[w] = pending
-                base_rc[w] = ready_cycle
-            else:
-                heapq.heappush(self._pending_ready, (ready_cycle, seq))
-            if is_mem:
-                self.lsq_count += 1
-            if op == _BRANCH and self._mispredict[index]:
-                branch_unit.on_dispatch_mispredict(seq)
-            self.rob_count += 1
-            dispatched += 1
-            seq += 1
-
-        self.seq_dispatch = seq
-        return dispatched
-
-    # ------------------------------------------------------------------
-    def _issue(self, cycle: int, directives: ControlDirectives):
-        pending_ready = self._pending_ready
-        ready_now = self._ready_now
-        while pending_ready and pending_ready[0][0] <= cycle:
-            _, seq = heapq.heappop(pending_ready)
-            heapq.heappush(ready_now, seq)
-
-        if directives.stall_issue:
-            return 0, 0.0
-        config = self.config
-        width = config.issue_width
-        if directives.issue_width_limit is not None:
-            width = max(0, min(width, directives.issue_width_limit))
-        if width == 0 or not ready_now:
-            return 0, 0.0
-
-        bounds = directives.issue_estimate_bounds
-        estimate_cap = bounds[1] if bounds is not None else None
-
-        fus = self._fus
-        ports = self._ports
-        fus.new_cycle()
-        ports.new_cycle(directives.cache_ports_limit)
-
-        op_list = self._op
-        mem_levels = self._mem_level
-        finish = self._finish
-        estimates = self._estimates
-        power = self.power
-        completions = self._completions
-        n_trace = self._n_trace
-
-        issued = 0
-        issued_estimate = 0.0
-        blocked = []
-        scans = 0
-        max_scans = width * _SCAN_FACTOR
-
-        while ready_now and issued < width and scans < max_scans:
-            seq = heapq.heappop(ready_now)
-            scans += 1
-            index = seq % n_trace
-            op = op_list[index]
-            estimate = estimates[op]
-            if estimate_cap is not None and issued_estimate + estimate > estimate_cap:
-                blocked.append(seq)
-                break  # damping bound reached: nothing else may issue
-            if op == _LOAD or op == _STORE:
-                is_miss = op == _LOAD and mem_levels[index] >= 1
-                if is_miss and self._outstanding_misses >= self.config.mshr_entries:
-                    blocked.append(seq)
-                    self.mshr_stall_cycles += 1
-                    continue
-                if not ports.try_claim():
-                    blocked.append(seq)
-                    continue
-                access = self.cache.access(mem_levels[index], op == _STORE)
-                latency = access.latency
-                power.add_cache_access(access)
-                if is_miss:
-                    self._outstanding_misses += 1
-            else:
-                if not fus.try_claim(op):
-                    blocked.append(seq)
-                    continue
-                latency = _EXEC_LATENCY[op]
-            finish_cycle = cycle + latency
-            finish[seq % _WINDOW] = finish_cycle
-            heapq.heappush(completions, (finish_cycle, seq))
-            power.add_issue(op, latency)
-            issued += 1
-            issued_estimate += estimate
-
-        for seq in blocked:
-            heapq.heappush(ready_now, seq)
-        return issued, issued_estimate
-
-    # ------------------------------------------------------------------
-    def _commit(self, cycle: int) -> int:
-        config = self.config
-        finish = self._finish
-        op_list = self._op
-        n_trace = self._n_trace
-        committed = 0
-        seq = self.seq_commit
-        while committed < config.commit_width and seq < self.seq_dispatch:
-            w = seq % _WINDOW
-            if finish[w] > cycle:
-                break
-            op = op_list[seq % n_trace]
-            if op == _LOAD or op == _STORE:
-                self.lsq_count -= 1
-            self.rob_count -= 1
-            committed += 1
-            seq += 1
-        self.seq_commit = seq
-        return committed
 
     # ------------------------------------------------------------------
     @property

@@ -18,18 +18,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import ProcessorConfig
 from repro.errors import ConfigurationError
 from repro.uarch.cache import CacheAccess
-from repro.uarch.isa import OpClass
+from repro.uarch.isa import EXECUTION_LATENCY, OpClass
 
 __all__ = ["EnergyWeights", "PowerModel"]
 
-#: Ring-buffer horizon for spread current; must exceed the longest spread
-#: (an L1+L2+memory access, 94 cycles for the Table 1 hierarchy).
+#: Ring-buffer horizon for spread current: the longest single spread (one
+#: FU latency or one cache level's access time; 80 cycles of memory access
+#: for the Table 1 hierarchy) must fit, or it would fold back onto earlier
+#: cycles.
 _HORIZON = 256
+
+
+def _check_spread_durations(config: ProcessorConfig) -> None:
+    """Reject spreads longer than the ring (they would wrap onto themselves)."""
+    durations = {
+        "l1_hit_cycles": config.l1_hit_cycles,
+        "l2_hit_cycles": config.l2_hit_cycles,
+        "memory_cycles": config.memory_cycles,
+        "longest functional-unit latency": max(EXECUTION_LATENCY.values()),
+    }
+    for name, cycles in durations.items():
+        if cycles > _HORIZON:
+            raise ConfigurationError(
+                f"{name} ({cycles}) exceeds the power model's "
+                f"{_HORIZON}-cycle spread horizon"
+            )
 
 
 def _default_fu_weights() -> dict:
@@ -69,7 +85,10 @@ class PowerModel:
     def __init__(self, config: ProcessorConfig, weights: "EnergyWeights | None" = None):
         self.config = config
         self.weights = weights or EnergyWeights()
-        self._pending = np.zeros(_HORIZON)
+        _check_spread_durations(config)
+        #: spread current still owed to upcoming cycles (a ring of plain
+        #: floats, so every per-cycle sum stays a Python float)
+        self._pending = [0.0] * _HORIZON
         self._slot = 0
         self._immediate = 0.0
         self._base = config.min_current_amps
@@ -78,6 +97,21 @@ class PowerModel:
         self.phantom_energy_joules = 0.0
         self._vdd = 1.0  # set by the simulation when it knows the supply
         self._cycle_seconds = 1e-10
+        # Per-event spreads, precomputed as (per_cycle, duration) pairs.
+        weights = self.weights
+        self._fu_units = [weights.fu_weight(int(op)) for op in OpClass]
+        l1 = (weights.l1_access / config.l1_hit_cycles, config.l1_hit_cycles)
+        l2 = (weights.l2_access / config.l2_hit_cycles, config.l2_hit_cycles)
+        memory = (
+            weights.memory_access / config.memory_cycles, config.memory_cycles
+        )
+        #: keyed by an access's ``(touches_l2, touches_memory)``
+        self._access_spreads = {
+            (False, False): (l1,),
+            (True, False): (l1, l2),
+            (False, True): (l1, memory),
+            (True, True): (l1, l2, memory),
+        }
 
     # ------------------------------------------------------------------
     # calibration
@@ -142,17 +176,16 @@ class PowerModel:
     def add_issue(self, op_class: int, latency: int) -> None:
         """Issue energy lands now; FU energy spreads over the latency."""
         self._immediate += self.weights.issue
-        fu = self.weights.fu_weight(op_class)
+        fu = self._fu_units[op_class]
         if fu:
-            self._spread(fu, max(1, min(latency, _HORIZON)))
+            duration = max(1, min(latency, _HORIZON))
+            self._spread(fu / duration, duration)
 
     def add_cache_access(self, access: CacheAccess) -> None:
-        config = self.config
-        self._spread(self.weights.l1_access, config.l1_hit_cycles)
-        if access.touches_l2:
-            self._spread(self.weights.l2_access, config.l2_hit_cycles)
-        if access.touches_memory:
-            self._spread(self.weights.memory_access, config.memory_cycles)
+        for per_cycle, duration in self._access_spreads[
+            access.touches_l2, access.touches_memory
+        ]:
+            self._spread(per_cycle, duration)
 
     def add_commit(self, count: int) -> None:
         self._immediate += count * self.weights.commit
@@ -160,11 +193,18 @@ class PowerModel:
     def add_occupancy(self, rob_count: int) -> None:
         self._immediate += rob_count * self.weights.rob_occupancy
 
-    def _spread(self, units: float, duration: int) -> None:
-        per_cycle = units / duration
-        slot = self._slot
-        for offset in range(duration):
-            self._pending[(slot + offset) % _HORIZON] += per_cycle
+    def _spread(self, per_cycle: float, duration: int) -> None:
+        """Add ``per_cycle`` to each of the next ``duration`` cycles."""
+        pending = self._pending
+        start = self._slot
+        stop = start + duration
+        if stop > _HORIZON:
+            stop -= _HORIZON
+            for slot in range(start, _HORIZON):
+                pending[slot] += per_cycle
+            start = 0
+        for slot in range(start, stop):
+            pending[slot] += per_cycle
 
     def preview_current(self) -> float:
         """Current the open cycle would draw if closed now, without phantoms.

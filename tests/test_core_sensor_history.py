@@ -165,6 +165,21 @@ class TestCurrentHistoryRegister:
                 assert register.quarter_diff(quarter) == exact
 
 
+    def test_ready_quarter_diffs_match_quarter_diff_bit_for_bit(self):
+        """The per-cycle batch form returns exactly the checked diffs."""
+        import random
+
+        quarters = [3, 5, 8, 13]
+        register = CurrentHistoryRegister(max_quarter_period=quarters[-1])
+        rng = random.Random(7)
+        for _ in range(500):  # several ring wraps and re-anchors
+            register.append(rng.uniform(30.0, 110.0))
+            ready = [q for q in quarters if register.ready(q)]
+            assert register.ready_quarter_diffs(quarters) == [
+                register.quarter_diff(q) for q in ready
+            ]
+
+
 class TestEventHistoryRegister:
     def test_records_and_looks_up(self):
         register = EventHistoryRegister(length_cycles=16)

@@ -23,9 +23,10 @@ import time
 
 from repro.config import TABLE1_TUNING
 from repro.core import ResonanceTuningController
+from repro.experiments import table2
 from repro.power import PowerSupply
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
-from repro.uarch import SPEC2K, PAPER_IPC, VIOLATING_NAMES
+from repro.uarch import PAPER_IPC
 
 TRIO = ("swim", "parser", "gzip")
 
@@ -39,18 +40,19 @@ def fingerprint(summary):
 
 
 def hook_grid():
-    """All 26 apps, base + tuned, 60k cycles, vs the paper's behaviour."""
+    """All 26 apps: Table 2's base classification, then tuned at 60k cycles."""
+    classification = table2.run()
     runner = BenchmarkRunner(SweepConfig(n_cycles=60000))
     bad = []
-    for name in sorted(SPEC2K):
-        base = runner.run_base(name)
+    for row in classification.rows:
+        name = row.benchmark
         m = runner.compare(name, factory)
-        is_viol = name in VIOLATING_NAMES
-        ok_base = (base.violation_fraction > 1e-4) == is_viol
         ok_tuned = m.violation_fraction <= 2e-5
-        flag = "" if (ok_base and ok_tuned) else "  <-- PROBLEM"
+        ok = row.classification_matches_paper and ok_tuned
+        flag = "" if ok else "  <-- PROBLEM"
         if flag: bad.append(name)
-        print(f"{name:9s} IPC={base.ipc:4.2f}/{PAPER_IPC[name]:4.2f} baseViol={base.violation_fraction:.2e} "
+        print(f"{name:9s} IPC={row.ipc:4.2f}/{PAPER_IPC[name]:4.2f} "
+              f"baseViol={row.violation_fraction:.2e}@{classification.n_cycles} "
               f"tunedViol={m.violation_fraction:.2e} slow={m.slowdown:.3f} ED={m.energy_delay:.3f} "
               f"L1={m.first_level_fraction:.3f} L2={m.second_level_fraction:.4f}{flag}")
     print(f"{len(bad)} problems: {bad}")
