@@ -28,6 +28,7 @@ time, degrading a would-be permanent stall into a bounded duty cycle.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.config import PowerSupplyConfig, ProcessorConfig, TuningConfig
@@ -99,6 +100,19 @@ class ResonanceTuningController(NoiseController):
             if self.tuning.second_level_watchdog_cycles is not None
             else 8 * self.tuning.second_level_response_time
         )
+        # Per-cycle constants.  A disabled tier gets a threshold no chain
+        # count reaches.
+        self._second_threshold = (
+            self.tuning.second_level_threshold if enable_second_level
+            else math.inf
+        )
+        self._first_threshold = (
+            self.tuning.initial_response_threshold if enable_first_level
+            else math.inf
+        )
+        self._activation_delay = 1 + self.tuning.response_delay_cycles
+        self._first_response_time = self.tuning.initial_response_time
+        self._second_response_time = self.tuning.second_level_response_time
         self.first_level_cycles = 0
         self.second_level_cycles = 0
         self.first_level_engagements = 0
@@ -122,25 +136,19 @@ class ResonanceTuningController(NoiseController):
         self, cycle: int, current_amps: float, voltage_volts: float, stats=None
     ) -> None:
         """Sense the cycle's current and react to any new resonant event."""
-        sensed = self.sensor.read(current_amps)
-        event = self.detector.observe(cycle, sensed)
+        event = self.detector.observe(cycle, self.sensor.read(current_amps))
         if event is None or self._second_active:
             return
-        activation = cycle + 1 + self.tuning.response_delay_cycles
-        if (
-            self.enable_second_level
-            and event.count >= self.tuning.second_level_threshold
-        ):
+        activation = cycle + self._activation_delay
+        if event.count >= self._second_threshold:
             self._pending.append((activation, _SECOND))
-        elif (
-            self.enable_first_level
-            and event.count >= self.tuning.initial_response_threshold
-        ):
+        elif event.count >= self._first_threshold:
             self._pending.append((activation, _FIRST))
 
     # ------------------------------------------------------------------
     def directives(self, cycle: int) -> ControlDirectives:
-        self._activate_pending(cycle)
+        if self._pending:
+            self._activate_pending(cycle)
         if self._second_active:
             held = cycle - self._second_engaged_at
             # Release once the minimum response time has elapsed and the
@@ -165,7 +173,7 @@ class ResonanceTuningController(NoiseController):
                 self._release_second_level(held)
                 self.watchdog_releases += 1
                 self._watchdog_lockout_until = (
-                    cycle + self.tuning.second_level_response_time
+                    cycle + self._second_response_time
                 )
             elif cycle >= self._second_min_until and (quiet or count_dropped):
                 self._release_second_level(held)
@@ -184,8 +192,6 @@ class ResonanceTuningController(NoiseController):
         )
 
     def _activate_pending(self, cycle: int) -> None:
-        if not self._pending:
-            return
         remaining = []
         for activation, level in self._pending:
             if activation > cycle:
@@ -196,15 +202,13 @@ class ResonanceTuningController(NoiseController):
             if level == _SECOND and not self._second_active:
                 self._second_active = True
                 self._second_engaged_at = cycle
-                self._second_min_until = (
-                    cycle + self.tuning.second_level_response_time
-                )
+                self._second_min_until = cycle + self._second_response_time
                 self._second_entry_count = max(
                     1, self.detector.current_count(cycle)
                 )
                 self.second_level_engagements += 1
             elif level == _FIRST:
-                new_until = cycle + self.tuning.initial_response_time
+                new_until = cycle + self._first_response_time
                 if new_until > self._first_until:
                     if cycle >= self._first_until:
                         self.first_level_engagements += 1
