@@ -227,6 +227,64 @@ class TestMultiWindowDamping:
         with _pytest.raises(ConfigurationError):
             PipelineDampingController(TABLE1_SUPPLY, TABLE1_PROCESSOR, 26.0, ())
 
+    def test_accepts_integral_scalars_and_sequences(self):
+        import numpy as np
+
+        for windows, lengths in (
+            (np.int64(50), (50,)),
+            (np.int32(42), (42,)),
+            ([np.int64(59), 42], (42, 59)),
+            (np.array([50, 42]), (42, 50)),
+        ):
+            controller = PipelineDampingController(
+                TABLE1_SUPPLY, TABLE1_PROCESSOR, 26.0, windows
+            )
+            assert controller.window_lengths == lengths
+
+    @pytest.mark.parametrize(
+        "windows", [50.0, (25.5, 50), (50, 42.0), "50", [None], object()]
+    )
+    def test_rejects_non_integral_windows(self, windows):
+        with pytest.raises(ConfigurationError):
+            PipelineDampingController(
+                TABLE1_SUPPLY, TABLE1_PROCESSOR, 26.0, windows
+            )
+
+    def test_sliding_extrema_match_window_max_and_min(self):
+        """Per-cycle bounds equal today's max()/min() over each window.
+
+        Estimates sit on a coarse 0.5 A grid so equal values tie often.
+        """
+        import random
+        from collections import deque
+
+        rng = random.Random(20040619)
+        for _ in range(300):
+            lengths = sorted(set(
+                rng.randint(2, 60) for _ in range(rng.choice((1, 1, 2, 3)))
+            ))
+            delta = rng.choice((3.25, 6.5, 13.0, 26.0))
+            controller = PipelineDampingController(
+                TABLE1_SUPPLY, TABLE1_PROCESSOR, delta, lengths
+            )
+            windows = [deque(maxlen=length) for length in lengths]
+            for cycle in range(rng.randint(1, 200)):
+                estimate = 0.5 * rng.randint(0, 2 * rng.choice((4, 40)))
+                controller.observe(cycle, 70.0, 0.0, make_stats(cycle, estimate))
+                for window in windows:
+                    window.append(estimate)
+                low = 0.0
+                high = None
+                for window in windows:
+                    low = max(low, max(window) - delta)
+                    window_high = min(window) + delta
+                    high = window_high if high is None else min(high, window_high)
+                got = controller.directives(cycle + 1).issue_estimate_bounds
+                assert [float.hex(v) for v in got] == [
+                    float.hex(low), float.hex(high)
+                ]
+            assert controller.damped_cycles == cycle + 1
+
     def test_bounds_are_intersection(self):
         controller = PipelineDampingController(
             TABLE1_SUPPLY, TABLE1_PROCESSOR, delta_amps=10.0,
