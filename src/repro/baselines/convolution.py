@@ -88,6 +88,11 @@ class ConvolutionController(NoiseController):
         )
         self._model = HeunIntegrator(supply_config)
         self._model.reset(processor_config.min_current_amps)
+        #: scratch integrator each projection restarts from the model state
+        self._probe = HeunIntegrator(supply_config)
+        self._resistance = supply_config.resistance_ohms
+        #: model voltage above which a projection is worth running
+        self._arm_volts = 0.6 * self.guard_volts
         self._last_estimate = processor_config.min_current_amps
         self._mode = 0
         self._hold_until = -1
@@ -112,9 +117,11 @@ class ConvolutionController(NoiseController):
     def _projected_extreme(self) -> float:
         """Worst |voltage| over the lookahead with current held constant."""
         self.projections += 1
-        probe = HeunIntegrator(self.supply_config)
-        probe.state = self._model.state.copy()
-        correction = self.supply_config.resistance_ohms * self._last_estimate
+        probe = self._probe
+        model_state = self._model.state
+        probe.state.voltage = model_state.voltage
+        probe.state.inductor_current = model_state.inductor_current
+        correction = self._resistance * self._last_estimate
         worst = probe.state.voltage + correction
         extreme = abs(worst)
         signed = worst
@@ -133,10 +140,10 @@ class ConvolutionController(NoiseController):
         estimate = self._estimate(current_amps)
         self._last_estimate = estimate
         raw = self._model.step(estimate)
-        reported = raw + self.supply_config.resistance_ohms * estimate
+        reported = raw + self._resistance * estimate
         # Arm the (more expensive) projection only when the model voltage is
         # already a good fraction of the guard band.
-        if abs(reported) > 0.6 * self.guard_volts:
+        if abs(reported) > self._arm_volts:
             reported = self._projected_extreme()
         if reported < -self.guard_volts:
             self._mode = -1
