@@ -69,6 +69,19 @@ def _assert_detectors_agree(config, trace):
         assert optimized.current_count(cycle) == reference.current_count(cycle)
     assert optimized.total_events == reference.total_events
     assert optimized.nonfinite_samples == reference.nonfinite_samples
+    assert optimized.comparisons == _expected_comparisons(config, len(trace))
+    assert sum(optimized.events_by_polarity.values()) == (
+        optimized.total_events
+    )
+
+
+def _expected_comparisons(config, n_samples):
+    """Adder comparisons after ``n_samples``: adder q compares once the
+    history holds 2q samples, so it runs ``n - 2q + 1`` times."""
+    quarters = config.get("quarter_periods") or [
+        h // 2 for h in config["half_periods"]
+    ]
+    return sum(max(0, n_samples - 2 * q + 1) for q in set(quarters))
 
 
 class TestDetectorDifferential:
